@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from . import __version__
@@ -20,6 +21,7 @@ from .ltl import ParseError, atoms_of, direct_check, parse
 from .maxplus import (
     IrreducibilityError,
     RegularityError,
+    SearchCapExceeded,
     is_irreducible,
     to_scaled,
     transient_cyclicity,
@@ -336,8 +338,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ModelError, ParseError, RegularityError, IrreducibilityError, ValueError) as exc:
+    except (
+        ModelError, ParseError, RegularityError, IrreducibilityError, ValueError,
+        SearchCapExceeded,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # any other crash must not exit 1, which means "violated"
+        traceback.print_exc()
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
         return EXIT_ERROR
 
 

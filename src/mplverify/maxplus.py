@@ -243,7 +243,8 @@ def eigenvalue_scaled(a: MaxPlusMatrix) -> Fraction:
                 inner = mean
         if inner is not None and (lam is None or inner > lam):
             lam = inner
-    assert lam is not None
+    if lam is None:
+        raise IrreducibilityError("no cycle is reachable from node 1")
     return lam
 
 
@@ -272,24 +273,45 @@ def transient_cyclicity(
 
     Once the identity holds at a single k it propagates to all larger k
     (multiply both sides by A), so testing one k suffices.
+
+    With the scaled eigenvalue lambda = p/q, the identity holds at (k, c)
+    exactly when the keys q*A^r - p*r of r = k and r = k + c are equal
+    (-inf kept as None): equal keys put every finite entry of A^(k+c)
+    p*c/q above that of A^k, an integer shift.  One pass computes A^r with
+    one product per step, stores the keys of r <= max_transient, and stops
+    at the first r whose key is stored, as that of s: then k0 = s and
+    c = r - s.
+
+    Any earlier match would have repeated first.  By propagation the keys
+    from s on repeat with period c.  Take a match (k', c') within the caps
+    with k' < s, or with k' = s and c' < c.  Its stored key(k') equals
+    key(k' + c') if k' + c' < r, and otherwise the key of the index in
+    s..r-1 congruent to k' + c' mod c: a repeat before r either way.  The keys of s..r-1 are
+    distinct: key(i) = key(j) for s <= i < j < r, carried forward to
+    i + t = s mod c, would make key(s) repeat at s + j - i < r.  So every
+    match at k' > s has c' a multiple of c, and a c above max_cyclicity
+    leaves no match within the caps.  A match within the caps repeats by
+    r = max_transient + max_cyclicity, where the pass ends.
     """
     if not is_irreducible(a):
         raise IrreducibilityError("matrix is not irreducible")
     lam = eigenvalue_scaled(a)
-    powers = [None, a]  # powers[r] = A^r
-
-    def pw(r: int) -> MaxPlusMatrix:
-        while len(powers) <= r:
-            powers.append(powers[-1].multiply(a))
-        return powers[r]
-
-    for k in range(1, max_transient + 1):
-        for c in range(1, max_cyclicity + 1):
-            shift = lam * c
-            if shift.denominator != 1:
-                continue
-            if pw(k + c).entries == pw(k).shifted(int(shift)).entries:
-                return SpectralProfile(lam / a.scale, k, c)
+    p, q = lam.numerator, lam.denominator
+    first = {}  # key of A^r -> r, for r <= max_transient
+    power = a
+    for r in range(1, max_transient + max_cyclicity + 1):
+        if r > 1:
+            power = power.multiply(a)
+        key = tuple(
+            tuple(None if e is None else q * e - p * r for e in row) for row in power.entries
+        )
+        s = first.get(key)
+        if s is not None:
+            if r - s > max_cyclicity:
+                break
+            return SpectralProfile(lam / a.scale, s, r - s)
+        if r <= max_transient:
+            first[key] = r
     raise SearchCapExceeded(
         f"no (transient, cyclicity) pair within caps ({max_transient}, {max_cyclicity})"
     )

@@ -182,6 +182,18 @@ def test_bench_ct_report():
         assert r["ct_empirical"] is None or r["ct_empirical"] <= r["ct_lemma"]
 
 
+def test_bench_ct_unsound_bound_raises(monkeypatch):
+    """The soundness check is an explicit exception, kept under python -O."""
+    import mplverify.bench
+
+    def above_lemma(a, x_region, formula, *, max_iter):
+        return {"ct_empirical": 9, "ct_lemma": 4, "outcome": "violated", "refinements": 0}
+
+    monkeypatch.setattr(mplverify.bench, "empirical_threshold", above_lemma)
+    with pytest.raises(RuntimeError, match="analytic threshold 4 below empirical 9"):
+        bench_ct(BenchmarkConfig(dims=(2,), trials=1, seed=2), "F G (t1 <= 10)")
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -303,3 +315,20 @@ def test_cli_usage_errors(railway_file, capsys, tmp_path):
     assert main(["verify"]) == 3  # no model
     assert main(["bench", "ct", "--dims", "2", "--trials", "1"]) == 3  # no spec
     assert main(["frobnicate"]) == 3  # unknown subcommand
+
+
+def test_cli_failures_exit_error(tmp_path, capsys, monkeypatch):
+    """A failure never exits 1, the code for "violated"."""
+    # transient about 2*10^4, past the search cap of 5000
+    path = write_model(tmp_path, {"matrix": [[10, 0], [0, 9.999]]})
+    assert main(["ct", "-m", path]) == 3
+    assert main(["verify", "-m", path, "--spec", "G (t1 <= 10)"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error: no (transient, cyclicity) pair within caps") == 2
+
+    def crash(a):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("mplverify.cli.transient_cyclicity", crash)
+    assert main(["ct", "-m", path]) == 3
+    assert "error: internal error: RecursionError" in capsys.readouterr().err

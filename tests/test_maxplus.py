@@ -12,6 +12,7 @@ from mplverify import (
     IrreducibilityError,
     MaxPlusMatrix,
     RegularityError,
+    SearchCapExceeded,
     eigenvalue,
     identity,
     is_irreducible,
@@ -121,24 +122,133 @@ def test_eigenvalue_against_cycle_mean_oracle(rng):
         assert lam == _brute_force_max_cycle_mean(a) / a.scale
 
 
+def _identity_holds(powers, lam_scaled, k, c) -> bool:
+    """A^(k+c) = lambda*c + A^k entrywise; powers[r] = A^r."""
+    shift = lam_scaled * c
+    return shift.denominator == 1 and (
+        powers[k + c].entries == powers[k].shifted(int(shift)).entries
+    )
+
+
+def _reference_transient_cyclicity(a, max_transient=5000, max_cyclicity=64):
+    """The k x c double loop that the one-pass search replaced: the first
+    k, then the first c, where the identity holds; None past the caps."""
+    lam = eigenvalue(a) * a.scale
+    powers = [None, a]
+    for k in range(1, max_transient + 1):
+        for c in range(1, max_cyclicity + 1):
+            while len(powers) <= k + c:
+                powers.append(powers[-1].multiply(a))
+            if _identity_holds(powers, lam, k, c):
+                return k, c
+    return None
+
+
+def _assert_minimal_pair(a, profile, max_cyclicity=64):
+    """The identity holds at (k0, c) and k0 + 1, k0 + 2; fails at k0 for
+    every c' < c and at k0 - 1 for every c' <= max_cyclicity."""
+    k0, c = profile.transient, profile.cyclicity
+    lam = profile.eigenvalue * a.scale
+    powers = [None, a]
+    while len(powers) <= k0 + 2 + max(c, max_cyclicity):
+        powers.append(powers[-1].multiply(a))
+    for k in (k0, k0 + 1, k0 + 2):
+        assert _identity_holds(powers, lam, k, c)
+    assert not any(_identity_holds(powers, lam, k0, cc) for cc in range(1, c))
+    if k0 > 1:
+        assert not any(
+            _identity_holds(powers, lam, k0 - 1, cc) for cc in range(1, max_cyclicity + 1)
+        )
+
+
 def test_transient_identity_window(rng):
     """A^(k+c) = lambda*c + A^k exactly at k in {k0, k0+1, k0+2}, and the
-    identity fails at k0 - 1 with the same c (minimality of k0)."""
+    pair is minimal: no smaller c at k0, no c at all at k0 - 1."""
     from mplverify.modelio import random_irreducible_mpl
 
     mats = [MaxPlusMatrix.from_rows([[2, 5], [3, 3]])]
     while len(mats) < 8:
         mats.append(random_irreducible_mpl(3, m=2, value_range=(1, 10), rng=rng))
     for a in mats:
-        p = transient_cyclicity(a)
-        shift = p.eigenvalue * p.cyclicity * a.scale
-        assert shift.denominator == 1
-        shift = int(shift)
-        for k in (p.transient, p.transient + 1, p.transient + 2):
-            assert a.power(k + p.cyclicity).entries == a.power(k).shifted(shift).entries
-        if p.transient > 1:
-            k = p.transient - 1
-            assert a.power(k + p.cyclicity).entries != a.power(k).shifted(shift).entries
+        _assert_minimal_pair(a, transient_cyclicity(a))
+
+
+def _random_fractional(rng, n):
+    """Irreducible n x n matrix with some -inf and halves/fifths entries."""
+    while True:
+        rows = [
+            [
+                Fraction(rng.randint(-6, 12), rng.choice([1, 2, 5]))
+                if rng.random() < 0.6
+                else None
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        a = MaxPlusMatrix.from_rows(rows)
+        if is_irreducible(a) and any(any(e is not None for e in row) for row in rows):
+            return a
+
+
+def test_transient_cyclicity_matches_double_loop(rng):
+    """The one-pass search gives the double loop's answer, or raises
+    exactly where the double loop finds nothing within the caps."""
+    fractional = capped = 0
+    for trial in range(300):
+        a = _random_fractional(rng, rng.randint(1, 4))
+        caps = (5000, 64) if trial % 2 else (rng.randint(1, 4), rng.randint(1, 3))
+        fractional += (eigenvalue(a) * a.scale).denominator != 1
+        expected = _reference_transient_cyclicity(a, *caps)
+        if expected is None:
+            capped += 1
+            with pytest.raises(SearchCapExceeded):
+                transient_cyclicity(a, *caps)
+            continue
+        profile = transient_cyclicity(a, *caps)
+        assert (profile.transient, profile.cyclicity) == expected
+        assert profile.eigenvalue == eigenvalue(a)
+        if caps == (5000, 64):
+            _assert_minimal_pair(a, profile)
+    assert capped >= 20
+    assert fractional >= 10  # lambda*c is an integer only for some c
+
+
+def test_transient_near_critical():
+    """A second cycle mean 1/10 below lambda: transient 200, and the caps
+    around it."""
+    a = MaxPlusMatrix.from_rows([[10, 0], [0, Fraction(99, 10)]])
+    profile = transient_cyclicity(a)
+    assert (profile.eigenvalue, profile.transient, profile.cyclicity) == (10, 200, 1)
+    assert _reference_transient_cyclicity(a) == (200, 1)
+    _assert_minimal_pair(a, profile)
+    assert transient_cyclicity(a, max_transient=200).transient == 200
+    with pytest.raises(SearchCapExceeded):
+        transient_cyclicity(a, max_transient=199)
+
+
+def test_cyclicity_cap():
+    """A 3-cycle has c = 3; a 2-cycle of odd weight has lambda = 1/2, so c
+    must be even."""
+    cycle3 = MaxPlusMatrix.from_rows([[None, 0, None], [None, None, 0], [0, None, None]])
+    assert transient_cyclicity(cycle3).cyclicity == 3
+    assert transient_cyclicity(cycle3, max_cyclicity=3).cyclicity == 3
+    with pytest.raises(SearchCapExceeded):
+        transient_cyclicity(cycle3, max_cyclicity=2)
+    half = MaxPlusMatrix.from_rows([[None, 1], [0, None]])
+    profile = transient_cyclicity(half)
+    assert (profile.eigenvalue, profile.transient, profile.cyclicity) == (Fraction(1, 2), 1, 2)
+    with pytest.raises(SearchCapExceeded):
+        transient_cyclicity(half, max_cyclicity=1)
+
+
+def test_no_cycle_raises():
+    """A 1x1 -inf matrix is strongly connected but has no cycle, so no
+    eigenvalue; this is an explicit error, kept under python -O."""
+    a = MaxPlusMatrix.from_rows([[None]])
+    with pytest.raises(IrreducibilityError, match="no cycle"):
+        eigenvalue(a)
+    with pytest.raises(IrreducibilityError, match="no cycle"):
+        transient_cyclicity(a)
 
 
 def test_fractional_entries_exact():
